@@ -14,7 +14,6 @@
      ablation/levels      (A2)  hierarchical s sweep
      ablation/vs-lsh      (A3)  DBH vs classical LSH on L2
      ablation/baselines   (B1)  DBH vs LAESA, M-tree, FastMap filter+refine
-     ablation/multiprobe  (A4)  multi-probe / budgeted query extensions
      robust/faults        (R1)  hardened pipeline under injected faults
      parallel             (P1)  domain-pool scaling, writes BENCH_parallel.json
      persist              (D1)  snapshot/WAL durability cost, writes BENCH_persist.json
@@ -1075,9 +1074,8 @@ let robust_faults () =
       let nns =
         Array.map
           (fun q ->
-            let b = Dbh.Budget.create budget in
-            let r = Dbh.Online.query_with ~budget:b online q in
-            cost := !cost + Dbh.Budget.spent b;
+            let r = Dbh.Online.search ~opts:(Dbh.Query_opts.budgeted budget) online q in
+            cost := !cost + Dbh.Index.total_cost r.Dbh.Online.stats;
             if r.Dbh.Online.truncated then incr truncated;
             r.Dbh.Online.nn)
           queries
@@ -1220,7 +1218,9 @@ let parallel_scaling () =
   in
   let min_busy fr = Array.fold_left Float.min infinity fr in
   let per_query =
-    Array.map (fun q -> Dbh.Index.query_with ~budget:(Dbh.Budget.create 400) base_index q) queries
+    Array.map
+      (fun q -> Dbh.Index.search ~opts:(Dbh.Query_opts.budgeted 400) base_index q)
+      queries
   in
   let batch_matches = base_results = per_query in
   Printf.printf "  hardware cores: %d (effective after cpu quota: %d)\n" cores
@@ -1557,7 +1557,7 @@ let obs_section () =
 (* ------------------------------------------------------------ S1 storage *)
 
 (* The compact storage engine (packed int keys, frozen CSR tables,
-   reusable query scratch) against a faithful reimplementation of the
+   per-domain query scratch) against a faithful reimplementation of the
    pre-refactor layout: per-table [Hashtbl] buckets holding cons lists,
    a fresh [Bytes] seen mask and a candidate list allocated per query.
    Both engines are driven by the same hash family and the same function
@@ -1667,20 +1667,14 @@ let storage_section () =
     done;
     (!best, !lookup)
   in
-  (* Query_opts is immutable, so one record serves the whole sweep —
-     building it per query would bill harness overhead (a fresh record
-     plus a boxed scratch) to the packed engine's alloc column. *)
-  let packed_opts scratch = Dbh.Query_opts.make ~scratch () in
-  let sweep_packed scratch =
-    let opts = packed_opts scratch in
-    fun () -> Array.map (fun q -> Dbh.Index.search ~opts index q) queries
-  in
+  (* Steady-state queries borrow their domain's scratch, so the packed
+     engine allocates no seen mask per query. *)
+  let sweep_packed () = Array.map (fun q -> Dbh.Index.search index q) queries in
   let sweep_ref () = Array.map ref_query queries in
   (* Bit-identity, sequential: same neighbor, same distance, same number
      of exact comparisons.  These first sweeps also warm the distance
      memo; freeze it afterwards so the pooled sweep never mutates it. *)
-  let scratch = Dbh.Scratch.create () in
-  let packed_results = sweep_packed scratch () in
+  let packed_results = sweep_packed () in
   let ref_results = sweep_ref () in
   frozen := true;
   let identical_seq =
@@ -1703,7 +1697,7 @@ let storage_section () =
     let after = Gc.allocated_bytes () in
     (after -. before) /. float_of_int (Array.length queries) /. 8.
   in
-  let packed_alloc = alloc_words (sweep_packed scratch) in
+  let packed_alloc = alloc_words sweep_packed in
   let ref_alloc = alloc_words sweep_ref in
   (* Wall time: best of rounds for throughput, plus a per-query latency
      distribution for the packed engine. *)
@@ -1716,13 +1710,12 @@ let storage_section () =
     done;
     !b
   in
-  let packed_s = best (sweep_packed scratch) in
+  let packed_s = best sweep_packed in
   let ref_s = best sweep_ref in
   let latencies =
-    let opts = packed_opts scratch in
     Array.map
       (fun q ->
-        let _, dt = seconds (fun () -> Dbh.Index.search ~opts index q) in
+        let _, dt = seconds (fun () -> Dbh.Index.search index q) in
         dt *. 1e6)
       queries
   in

@@ -73,13 +73,33 @@ let () =
   in
   Printf.printf "index saved and reloaded; answers identical: %b\n" same;
 
-  (* 5. Indexes also answer k-NN and range queries (single-level shown). *)
+  (* 5. Indexes also answer k-NN and range queries (single-level shown).
+     Both are checked against exact distances; a wrong answer exits 1. *)
   let prepared = Dbh.Builder.prepare ~rng ~space db in
-  (match Dbh.Builder.single ~rng ~prepared ~db ~target_accuracy:0.9 () with
+  match Dbh.Builder.single ~rng ~prepared ~db ~target_accuracy:0.9 () with
   | None -> ()
   | Some (single, choice) ->
       Printf.printf "\nSingle-level index (%s):\n"
         (Format.asprintf "%a" Dbh.Params.pp_choice choice);
-      let knn, stats = Dbh.Index.query_knn single 5 queries.(0) in
+      let q = queries.(0) in
+      let exact (i, d) = d = space.Dbh_space.Space.distance q db.(i) in
+      let knn, stats = Dbh.Index.query_knn single 5 q in
       Printf.printf "  5-NN of query 0 (cost %d):\n" (Dbh.Index.total_cost stats);
-      Array.iter (fun (i, d) -> Printf.printf "    db[%d] at distance %.4f\n" i d) knn)
+      Array.iter (fun (i, d) -> Printf.printf "    db[%d] at distance %.4f\n" i d) knn;
+      let radius = if Array.length knn = 0 then 1. else snd knn.(Array.length knn - 1) in
+      let hits, _ = Dbh.Index.query_range single radius q in
+      Printf.printf "  %d objects within %.4f of query 0\n" (List.length hits) radius;
+      let sorted l = List.sort compare (List.map snd l) = List.map snd l in
+      let ok =
+        Array.length knn > 0
+        && Array.for_all exact knn
+        && sorted (Array.to_list knn)
+        && List.for_all (fun (i, d) -> exact (i, d) && d <= radius) hits
+        && sorted hits
+        (* Same candidate set: every k-NN answer lies within its own radius. *)
+        && Array.for_all (fun h -> List.mem h hits) knn
+      in
+      if not ok then begin
+        prerr_endline "k-NN / range answers disagree with exact distances";
+        exit 1
+      end

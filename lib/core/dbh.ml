@@ -35,12 +35,12 @@
     - {!Probe_seq}: the multi-probe sequence generator (penalty-ordered
       Hamming-adjacent keys)
     - {!Csr}: frozen CSR hash tables with a mutable insert delta
-    - {!Scratch}: reusable per-query workspace (zero-alloc hot path)
+    - {!Scratch}: per-domain query workspace (zero-alloc hot path)
     - {!Budget}: per-query distance-computation budgets
     - {!Query_opts}: the one-record query options (budget, pool,
-      metrics, trace, scratch)
-    - {!Index}: single-level index — build, NN / k-NN / range /
-      multi-probe / budgeted queries, insert/delete, save/load
+      metrics, trace, multi-probe knobs)
+    - {!Index}: single-level index — build, NN / k-NN / range queries
+      through the shared query pipeline, insert/delete, save/load
     - {!Hierarchical}: the s-level cascade (Sec. V-A)
     - {!Builder}: one-call offline pipeline
     - {!Diagnostics}: structural health checks for built indexes

@@ -139,34 +139,8 @@ val load : decode:(string -> 'a) -> space:'a Dbh_space.Space.t -> path:string ->
 
 (**/**)
 
-(* Cascade query core taking a caller-managed Budget.t plus explicit
-   observability hooks — what Online and the robust layer build on. *)
-val query_with :
-  ?budget:Budget.t ->
-  ?metrics:Dbh_obs.Metrics.t ->
-  ?trace:Dbh_obs.Trace.t ->
-  ?scratch:Scratch.t ->
-  ?limit:int ->
-  ?probes:int ->
-  ?radius:int ->
-  'a t ->
-  'a ->
-  'a Index.result
-
-(* Same core with the probe knobs as required labels: hot callers that
-   already hold plain ints (Online, the robust layer) use this to avoid
-   boxing a [Some] per knob per query. *)
-val query_probed :
-  ?budget:Budget.t ->
-  ?metrics:Dbh_obs.Metrics.t ->
-  ?trace:Dbh_obs.Trace.t ->
-  ?scratch:Scratch.t ->
-  ?limit:int ->
-  probes:int ->
-  radius:int ->
-  'a t ->
-  'a ->
-  'a Index.result
-(* [limit] bounds candidate admission to ids below it — the visibility
-   bound a concurrent reader pins before probing (see
-   [Index.candidates_into]).  Sequential callers omit it. *)
+(* The cascade behind [search], with the visibility bound a concurrent
+   reader pins before probing: ids at or past [limit] never enter the
+   candidate set (see [Index.candidates_into]).  Online's entry point;
+   [search] passes [max_int]. *)
+val cascade : Query_opts.t -> limit:int -> 'a t -> 'a -> 'a Index.result

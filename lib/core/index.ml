@@ -68,44 +68,28 @@ let store t = t.store
 let family t = t.family
 let size t = Store.alive_count t.store
 
-(* Pack the k bits of table [row] into a key, evaluating each distinct
-   function at most once via [bit_of]. *)
-let key_of_row fn_ids bit_of row : Key.t =
-  Array.fold_left
-    (fun key fn_id -> Key.push_bit key (bit_of fn_id))
-    Key.zero fn_ids.(row)
-
 let distinct_of fn_ids =
   let seen = Hashtbl.create 64 in
   Array.iter (Array.iter (fun id -> Hashtbl.replace seen id ())) fn_ids;
   Array.of_seq (Hashtbl.to_seq_keys seen)
-
-(* Evaluate all distinct functions once and return a memoized bit lookup. *)
-let bits_of_cache t cache =
-  let bits = Hashtbl.create (Array.length t.distinct_fns) in
-  Array.iter
-    (fun fn_id -> Hashtbl.replace bits fn_id (Hash_family.eval t.family cache fn_id))
-    t.distinct_fns;
-  fun fn_id -> Hashtbl.find bits fn_id
 
 let slots_of fn_ids distinct_fns =
   let slot = Hashtbl.create (Array.length distinct_fns) in
   Array.iteri (fun i fn_id -> Hashtbl.replace slot fn_id i) distinct_fns;
   Array.map (Array.map (Hashtbl.find slot)) fn_ids
 
-(* The allocation-free counterpart of [bits_of_cache] for the query hot
-   path: evaluate every distinct function once — same order, so cache
-   misses and hash_cost are identical — into a scratch-owned byte row
-   indexed by slot. *)
-let eval_bits t cache bits =
+(* Evaluate every distinct function once, in [distinct_fns] order (so
+   cache misses and hash_cost never depend on the caller), into a byte
+   row indexed by slot. *)
+let eval_bits family distinct_fns cache bits =
   Array.iteri
     (fun i fn_id ->
       Bytes.unsafe_set bits i
-        (if Hash_family.eval t.family cache fn_id then '\001' else '\000'))
-    t.distinct_fns
+        (if Hash_family.eval family cache fn_id then '\001' else '\000'))
+    distinct_fns
 
-let key_of_slots t bits row : Key.t =
-  let slots = t.fn_slots.(row) in
+(* Pack one table's k bits, read from the row [eval_bits] filled. *)
+let key_of_slots slots bits : Key.t =
   let key = ref Key.zero in
   for j = 0 to Array.length slots - 1 do
     key := Key.push_bit !key (Bytes.unsafe_get bits (Array.unsafe_get slots j) <> '\000')
@@ -120,27 +104,26 @@ let eval_margins t cache margins =
     (fun i fn_id -> margins.(i) <- Hash_family.margin t.family cache fn_id)
     t.distinct_fns
 
+(* All l bucket keys of one hashed object. *)
+let keys_of_cache ~family ~distinct_fns ~fn_slots cache =
+  let bits = Bytes.create (Array.length distinct_fns) in
+  eval_bits family distinct_fns cache bits;
+  Array.map (fun slots -> key_of_slots slots bits) fn_slots
+
 let insert_id t cache id =
-  let bit_of = bits_of_cache t cache in
-  for row = 0 to t.l - 1 do
-    let key = key_of_row t.fn_ids bit_of row in
-    Csr.add t.tables.(row) (key :> int) id
-  done
+  Array.iteri
+    (fun row (key : Key.t) -> Csr.add t.tables.(row) (key :> int) id)
+    (keys_of_cache ~family:t.family ~distinct_fns:t.distinct_fns ~fn_slots:t.fn_slots cache)
 
 (* All l bucket keys of one object, through a private distance cache —
    pure given the store and pivot table, so it can run on any domain. *)
-let keys_of_id ~family ~store ~fn_ids ~distinct_fns pivot_table id =
+let keys_of_id ~family ~store ~distinct_fns ~fn_slots pivot_table id =
   let cache =
     match pivot_table with
     | Some table -> Hash_family.cache_with_distances family (Store.get store id) table.(id)
     | None -> Hash_family.cache family (Store.get store id)
   in
-  let bits = Hashtbl.create (Array.length distinct_fns) in
-  Array.iter
-    (fun fn_id -> Hashtbl.replace bits fn_id (Hash_family.eval family cache fn_id))
-    distinct_fns;
-  let bit_of fn_id = Hashtbl.find bits fn_id in
-  Array.init (Array.length fn_ids) (key_of_row fn_ids bit_of)
+  keys_of_cache ~family ~distinct_fns ~fn_slots cache
 
 let build_on ?pool ~rng ~family ~store ?pivot_table ~k ~l () =
   (try Key.check_width k
@@ -154,6 +137,7 @@ let build_on ?pool ~rng ~family ~store ?pivot_table ~k ~l () =
   | _ -> ());
   let fn_ids = Array.init l (fun _ -> Hash_family.sample_fn_indices ~rng family k) in
   let distinct_fns = distinct_of fn_ids in
+  let fn_slots = slots_of fn_ids distinct_fns in
   let n = Store.length store in
   (* Build cons-list buckets first (ascending id order, so each list ends
      up newest-first exactly as the incremental tables always were), then
@@ -163,7 +147,7 @@ let build_on ?pool ~rng ~family ~store ?pivot_table ~k ~l () =
     let bucket = try Hashtbl.find buckets.(row) key with Not_found -> [] in
     Hashtbl.replace buckets.(row) key (id :: bucket)
   in
-  let keys_of = keys_of_id ~family ~store ~fn_ids ~distinct_fns pivot_table in
+  let keys_of = keys_of_id ~family ~store ~distinct_fns ~fn_slots pivot_table in
   (match pool with
   | None ->
       for id = 0 to n - 1 do
@@ -195,7 +179,7 @@ let build_on ?pool ~rng ~family ~store ?pivot_table ~k ~l () =
     l;
     fn_ids;
     distinct_fns;
-    fn_slots = slots_of fn_ids distinct_fns;
+    fn_slots;
     tables = Array.map Csr.freeze buckets;
   }
 
@@ -228,23 +212,19 @@ let iter_buckets t f =
 
 (* --------------------------------------------------------------- queries *)
 
-(* Queries own their scratch for the duration of the call: taken from
-   opts when provided (so steady-state queries allocate no seen mask, no
-   candidate cells, no pivot row), private otherwise; always reset on
-   the way out — including exceptional exits — so a shared scratch is
-   clean for the next query. *)
-let scratch_of = function Some s -> s | None -> Scratch.create ()
-
-let cache_for ?budget ?trace t scratch q =
-  Hash_family.cache_in ?budget ?trace t.family
-    ~dists:(Scratch.pivot_dists scratch (Hash_family.num_pivots t.family))
-    q
-
 let check_probe_knobs ~probes ~radius =
   if probes < 1 then invalid_arg "Index: probes_per_table must be >= 1";
   if radius < 0 || radius > Key.max_radius then
     invalid_arg
       (Printf.sprintf "Index: hamming_radius must be in [0, %d]" Key.max_radius)
+
+let record_probe trace ~level ~row table key =
+  match trace with
+  | Some tr ->
+      Dbh_obs.Trace.record tr
+        (Dbh_obs.Trace.Bucket_probe
+           { level; table = row; key; found = Csr.bucket_size table key })
+  | None -> ()
 
 (* The extra-probe engine, shared by every query path.  After the base
    buckets, each table probes up to [probes - 1] Hamming-adjacent keys
@@ -258,30 +238,28 @@ let check_probe_knobs ~probes ~radius =
    hash distance computations.  [counter] counts probed buckets: one
    per emitted key on the heap path, the full ball (claimed upfront) on
    the range path. *)
-let probe_extras ?trace ~level t cache scratch bits ~probes ~radius ~counter visit =
+let probe_extras ~trace ~level t cache scratch bits ~probes ~radius ~counter visit =
   let extra = probes - 1 in
   let margins = Scratch.margin_row scratch (Array.length t.distinct_fns) in
   eval_margins t cache margins;
   let ball = Key.ball_size ~width:t.k ~radius in
   let ps = Scratch.probe_seq scratch in
   for row = 0 to t.l - 1 do
-    let base = key_of_slots t bits row in
+    let base = key_of_slots t.fn_slots.(row) bits in
     let table = t.tables.(row) in
     if extra >= ball then begin
       counter := !counter + ball;
       match trace with
       | None ->
           Csr.iter_within table ~width:t.k ~radius (base :> int) (fun _ id -> visit id)
-      | Some tr ->
+      | Some _ ->
           (* The range scan only surfaces non-empty keys; record one
              probe event per distinct key it visits. *)
           let last = ref min_int in
           Csr.iter_within table ~width:t.k ~radius (base :> int) (fun key id ->
               if key <> !last then begin
                 last := key;
-                Dbh_obs.Trace.record tr
-                  (Dbh_obs.Trace.Bucket_probe
-                     { level; table = row; key; found = Csr.bucket_size table key })
+                record_probe trace ~level ~row table key
               end;
               visit id)
     end
@@ -291,20 +269,29 @@ let probe_extras ?trace ~level t cache scratch bits ~probes ~radius ~counter vis
       Probe_seq.generate ps ~base ~width:t.k ~radius ~max_probes:extra ~penalty
         ~emit:(fun pk ->
           incr counter;
-          (match trace with
-          | Some tr ->
-              Dbh_obs.Trace.record tr
-                (Dbh_obs.Trace.Bucket_probe
-                   {
-                     level;
-                     table = row;
-                     key = (pk :> int);
-                     found = Csr.bucket_size table (pk :> int);
-                   })
-          | None -> ());
+          record_probe trace ~level ~row table (pk :> int);
           Csr.iter_bucket table (pk :> int) visit)
     end
   done
+
+(* Mark this index's fresh alive candidates below [limit].  Base probes
+   are claimed before any hash evaluation — the historical accounting: a
+   budget that dies inside [eval_bits] still counts this index's l
+   probes. *)
+let mark_candidates ~trace ~level ~limit ~probes ~radius ~probed t cache scratch =
+  probed := !probed + t.l;
+  let bits = Scratch.bit_row scratch (Array.length t.distinct_fns) in
+  eval_bits t.family t.distinct_fns cache bits;
+  let visit id =
+    if id < limit && Store.is_alive t.store id then ignore (Scratch.mark scratch id)
+  in
+  for row = 0 to t.l - 1 do
+    let key = (key_of_slots t.fn_slots.(row) bits :> int) in
+    record_probe trace ~level ~row t.tables.(row) key;
+    Csr.iter_bucket t.tables.(row) key visit
+  done;
+  if probes > 1 && radius > 0 then
+    probe_extras ~trace ~level t cache scratch bits ~probes ~radius ~counter:probed visit
 
 let candidates_into ?trace ?(level = 0) ?(limit = max_int) ?(probes = 1) ?(radius = 0)
     ?probe_counter t cache ~scratch =
@@ -314,383 +301,200 @@ let candidates_into ?trace ?(level = 0) ?(limit = max_int) ?(probes = 1) ?(radiu
      then, so only the visible prefix must fit the mask. *)
   if Scratch.capacity scratch < min limit (Store.length t.store) then
     invalid_arg "Index.candidates_into: scratch smaller than the store";
-  (* Base probes are claimed before any hash evaluation — the historical
-     accounting: a budget that dies inside [eval_bits] still counts this
-     index's l probes. *)
-  let counter = match probe_counter with Some c -> c | None -> ref 0 in
-  counter := !counter + t.l;
-  let bits = Scratch.bit_row scratch (Array.length t.distinct_fns) in
-  eval_bits t cache bits;
-  (* Ids at or past the mask capacity — or past the caller's published
-     visibility bound — were inserted by a concurrent writer after this
-     query started; skipping them linearizes the query before those
-     inserts.  Sequentially neither guard ever fires. *)
-  let cap = min (Scratch.capacity scratch) limit in
-  let visit id =
-    if id < cap && Store.is_alive t.store id then ignore (Scratch.mark scratch id)
-  in
-  for row = 0 to t.l - 1 do
-    let key = key_of_slots t bits row in
-    (match trace with
-    | Some tr ->
-        Dbh_obs.Trace.record tr
-          (Dbh_obs.Trace.Bucket_probe
-             {
-               level;
-               table = row;
-               key = (key :> int);
-               found = Csr.bucket_size t.tables.(row) (key :> int);
-             })
-    | None -> ());
-    Csr.iter_bucket t.tables.(row) (key :> int) visit
-  done;
-  if probes > 1 && radius > 0 then
-    probe_extras ?trace ~level t cache scratch bits ~probes ~radius ~counter visit
+  let probed = match probe_counter with Some c -> c | None -> ref 0 in
+  mark_candidates ~trace ~level ~limit:(min limit (Scratch.capacity scratch)) ~probes ~radius
+    ~probed t cache scratch
 
-let with_candidates ?metrics ?trace ?scratch ~probes ~radius t q f =
-  check_probe_knobs ~probes ~radius;
-  let metrics = Dbh_obs.Metrics.resolve metrics in
-  let t0 = match metrics with Some _ -> Dbh_obs.Metrics.now () | None -> 0. in
-  let scratch = scratch_of scratch in
-  Scratch.ensure scratch (Store.length t.store);
-  let cache = cache_for ?trace t scratch q in
-  let probed = ref 0 in
-  let value, lookup_cost =
-    Fun.protect
-      ~finally:(fun () -> Scratch.reset scratch)
-      (fun () ->
-        candidates_into ~probes ~radius ~probe_counter:probed t cache ~scratch;
-        f scratch)
-  in
-  let stats =
-    { hash_cost = Hash_family.cache_cost cache; lookup_cost; probes = !probed }
-  in
-  let seconds =
-    match metrics with Some _ -> Some (Dbh_obs.Metrics.now () -. t0) | None -> None
-  in
-  observe_query ?metrics ?seconds ~cache_hits:(Hash_family.cache_hits cache) ~stats
-    ~truncated:false ~levels_probed:1 ();
-  (value, stats)
+type accumulator =
+  | Nearest
+  | Top_k of int Dbh_util.Bounded_heap.t
+  | Within of float * (int * float) list ref
 
-let best_of_candidates t q candidates =
-  let space = Hash_family.space t.family in
-  let best = ref None in
-  let count = ref 0 in
-  List.iter
-    (fun id ->
-      incr count;
-      let d = space.Space.distance q (Store.get t.store id) in
-      match !best with
-      | Some (_, bd) when bd <= d -> ()
-      | _ -> best := Some (id, d))
-    candidates;
-  (!best, !count)
+type 'a query = {
+  q : 'a;
+  db : 'a Store.t;
+  distance : 'a -> 'a -> float;
+  budget : Budget.t option;
+  trace : Dbh_obs.Trace.t option;
+  acc : accumulator;
+  probed : int ref;
+  mutable levels : int;
+  mutable lookup : int;
+  mutable best_id : int;
+  mutable best_d : float;
+}
 
-(* NN query, optionally under a distance-computation budget.  Buckets are
-   probed row by row and candidates ranked as they surface (equivalent to
-   collecting the union first: the candidate set, lookup cost and best
-   answer are identical), so that when a budget runs out mid-query the
-   best-so-far over everything already paid for is returned.  The budget
-   is charged before every distance evaluation — both pivot distances
-   inside the hash cache and candidate comparisons here — so the spend
-   never exceeds the limit. *)
-(* The single-level query core.  Trace events are recorded only behind a
-   [match] on the trace option, so the untraced path allocates nothing
-   for them; metrics are recorded once at the end from the final stats. *)
-(* The body of [query_with] with the probe knobs as required labels:
-   passing an int through an optional argument boxes a [Some] per call,
-   and on the plain single-probe path (the storage bench's alloc gate)
-   those two words per query are measurable.  [query_with] below is the
-   optional-argument wrapper for external callers. *)
-let query_probed ?budget ?metrics ?trace ?scratch ~probes ~radius t q =
-  check_probe_knobs ~probes ~radius;
-  let metrics = Dbh_obs.Metrics.resolve metrics in
+(* The one candidate-refine step: every walk over the scratch — the
+   single-level probe loop, each cascade level, top-k and range — feeds
+   its candidates through here.  The budget is charged before the
+   distance is computed, so the spend never exceeds the limit. *)
+let refine r id =
+  (match r.budget with Some b -> Budget.charge b | None -> ());
+  r.lookup <- r.lookup + 1;
+  let d = r.distance r.q (Store.get r.db id) in
+  let improved = d < r.best_d in
+  (match r.trace with
+  | Some tr -> Dbh_obs.Trace.record tr (Dbh_obs.Trace.Candidate { id; distance = d; improved })
+  | None -> ());
+  if improved then begin
+    r.best_id <- id;
+    r.best_d <- d
+  end;
+  match r.acc with
+  | Nearest -> ()
+  | Top_k heap -> ignore (Dbh_util.Bounded_heap.push heap d id)
+  | Within (radius, hits) -> if d <= radius then hits := (id, d) :: !hits
+
+(* Mark one index's fresh candidates, then refine them newest mark
+   first.  Tie-breaking between equal distances depends on this order,
+   and the golden storage fixture pins it. *)
+let refine_fresh ~level ~limit ~probes ~radius t cache scratch r =
+  let start = Scratch.count scratch in
+  mark_candidates ~trace:r.trace ~level ~limit ~probes ~radius ~probed:r.probed t cache
+    scratch;
+  for i = Scratch.count scratch - 1 downto start do
+    refine r (Scratch.get scratch i)
+  done
+
+(* The query pipeline around every walk: Query_start, the domain's
+   scratch, the pivot-distance cache, the walk under the budget, then
+   stats, Query_done and one metrics recording.  [walk] sees the ids
+   visible when the query started ([limit]: the store length, capped by
+   the caller's published bound), so ids a racing writer appends are
+   never admitted.  Trace events are recorded only behind a [match] on
+   the trace option, so the untraced path allocates nothing for them. *)
+let run (opts : Query_opts.t) ~kind ~family ~store ~limit ~acc q walk =
+  let budget = Option.map Budget.create opts.budget in
+  let trace = opts.trace in
+  let metrics = Dbh_obs.Metrics.resolve opts.metrics in
   let t0 = match metrics with Some _ -> Dbh_obs.Metrics.now () | None -> 0. in
   (match trace with
-  | Some tr ->
-      Dbh_obs.Trace.record tr
-        (Dbh_obs.Trace.Query_start { kind = Printf.sprintf "index(k=%d,l=%d)" t.k t.l })
+  | Some tr -> Dbh_obs.Trace.record tr (Dbh_obs.Trace.Query_start { kind = kind () })
   | None -> ());
-  let scratch = scratch_of scratch in
-  Scratch.ensure scratch (Store.length t.store);
-  let cache = cache_for ?budget ?trace t scratch q in
-  let space = Hash_family.space t.family in
-  (* Unboxed best tracking: ids and float refs are flat, so improving
-     the best allocates nothing until the final [Some]. *)
-  let best_id = ref (-1) in
-  let best_d = ref infinity in
-  let lookup = ref 0 in
-  let probed = ref 0 in
-  Fun.protect
-    ~finally:(fun () -> Scratch.reset scratch)
-    (fun () ->
-      try
-        let bits = Scratch.bit_row scratch (Array.length t.distinct_fns) in
-        eval_bits t cache bits;
-        (* One visitor closure for the whole query: allocating it inside
-           the row loop would cost a closure per probe.  The capacity
-           guard skips ids a concurrent writer inserted after the seen
-           mask was sized — never taken sequentially. *)
-        let cap = Scratch.capacity scratch in
-        let visit id =
-          if id < cap && Store.is_alive t.store id && Scratch.mark scratch id then begin
-            (match budget with Some b -> Budget.charge b | None -> ());
-            incr lookup;
-            let d = space.Space.distance q (Store.get t.store id) in
-            let improved = d < !best_d in
-            (match trace with
-            | Some tr ->
-                Dbh_obs.Trace.record tr
-                  (Dbh_obs.Trace.Candidate { id; distance = d; improved })
-            | None -> ());
-            if improved then begin
-              best_id := id;
-              best_d := d
-            end
-          end
-        in
-        for row = 0 to t.l - 1 do
-          incr probed;
-          let key = key_of_slots t bits row in
-          (match trace with
-          | Some tr ->
-              Dbh_obs.Trace.record tr
-                (Dbh_obs.Trace.Bucket_probe
-                   {
-                     level = 0;
-                     table = row;
-                     key = (key :> int);
-                     found = Csr.bucket_size t.tables.(row) (key :> int);
-                   })
-          | None -> ());
-          Csr.iter_bucket t.tables.(row) (key :> int) visit
-        done;
-        if probes > 1 && radius > 0 then
-          probe_extras ?trace ~level:0 t cache scratch bits ~probes ~radius
-            ~counter:probed visit
-      with Budget.Exhausted -> (
-        match trace with
-        | Some tr ->
-            Dbh_obs.Trace.record tr
-              (Dbh_obs.Trace.Budget_exhausted
-                 { spent = (match budget with Some b -> Budget.spent b | None -> 0) })
-        | None -> ()));
-  let truncated = match budget with Some b -> Budget.exhausted b | None -> false in
-  let stats =
-    { hash_cost = Hash_family.cache_cost cache; lookup_cost = !lookup; probes = !probed }
-  in
-  (match trace with
-  | Some tr ->
-      Dbh_obs.Trace.record tr
-        (Dbh_obs.Trace.Query_done
-           {
-             hash_cost = stats.hash_cost;
-             lookup_cost = stats.lookup_cost;
-             probes = stats.probes;
-             levels_probed = 1;
-             truncated;
-           })
-  | None -> ());
-  let seconds =
-    match metrics with Some _ -> Some (Dbh_obs.Metrics.now () -. t0) | None -> None
-  in
-  observe_query ?metrics ?seconds ~cache_hits:(Hash_family.cache_hits cache)
-    ?nn_distance:(if !best_id < 0 then None else Some !best_d)
-    ~stats ~truncated ~levels_probed:1 ();
-  {
-    nn = (if !best_id < 0 then None else Some (!best_id, !best_d));
-    stats;
-    truncated;
-    levels_probed = 1;
-  }
+  Scratch.with_local (fun scratch ->
+      let limit = min limit (Store.length store) in
+      Scratch.ensure scratch limit;
+      let cache =
+        Hash_family.cache_in ?budget ?trace family
+          ~dists:(Scratch.pivot_dists scratch (Hash_family.num_pivots family))
+          q
+      in
+      let r =
+        {
+          q;
+          db = store;
+          distance = (Hash_family.space family).Space.distance;
+          budget;
+          trace;
+          acc;
+          probed = ref 0;
+          levels = 0;
+          lookup = 0;
+          best_id = -1;
+          best_d = infinity;
+        }
+      in
+      (try walk scratch cache ~limit r
+       with Budget.Exhausted -> (
+         match (trace, budget) with
+         | Some tr, Some b ->
+             Dbh_obs.Trace.record tr (Dbh_obs.Trace.Budget_exhausted { spent = Budget.spent b })
+         | _ -> ()));
+      let truncated = match budget with Some b -> Budget.exhausted b | None -> false in
+      let stats =
+        { hash_cost = Hash_family.cache_cost cache; lookup_cost = r.lookup; probes = !(r.probed) }
+      in
+      (match trace with
+      | Some tr ->
+          Dbh_obs.Trace.record tr
+            (Dbh_obs.Trace.Query_done
+               {
+                 hash_cost = stats.hash_cost;
+                 lookup_cost = stats.lookup_cost;
+                 probes = stats.probes;
+                 levels_probed = r.levels;
+                 truncated;
+               })
+      | None -> ());
+      let nn = if r.best_id < 0 then None else Some (r.best_id, r.best_d) in
+      let seconds =
+        match metrics with Some _ -> Some (Dbh_obs.Metrics.now () -. t0) | None -> None
+      in
+      observe_query ?metrics ?seconds ~cache_hits:(Hash_family.cache_hits cache)
+        ?nn_distance:(match acc with Nearest -> Option.map snd nn | _ -> None)
+        ~stats ~truncated ~levels_probed:r.levels ();
+      { nn; stats; truncated; levels_probed = r.levels })
 
-let query_with ?budget ?metrics ?trace ?scratch ?(probes = 1) ?(radius = 0) t q =
-  query_probed ?budget ?metrics ?trace ?scratch ~probes ~radius t q
-
-let search ?(opts = Query_opts.default) t q =
-  let budget = Option.map Budget.create opts.Query_opts.budget in
-  query_probed ?budget ?metrics:opts.Query_opts.metrics ?trace:opts.Query_opts.trace
-    ?scratch:opts.Query_opts.scratch ~probes:opts.Query_opts.probes_per_table
-    ~radius:opts.Query_opts.hamming_radius t q
-
-(* Queries only read the index (tables, store, family), so a batch fans
-   out with no shared mutable state beyond the atomic counters.  The
-   metric set is resolved once up front and shared — its counters are
-   atomic — while opts.trace is ignored: traces are single-domain by
-   design.  Sequentially one scratch (the caller's, else a private one)
-   serves the whole batch; under a pool each query allocates its own
-   (a scratch is single-domain state). *)
-let search_batch ?(opts = Query_opts.default) t qs =
-  let metrics = Dbh_obs.Metrics.resolve opts.Query_opts.metrics in
-  let probes = opts.Query_opts.probes_per_table in
-  let radius = opts.Query_opts.hamming_radius in
-  match opts.Query_opts.pool with
-  | None ->
-      let scratch = scratch_of opts.Query_opts.scratch in
-      Array.map
-        (fun q ->
-          let budget = Option.map Budget.create opts.Query_opts.budget in
-          query_probed ?budget ?metrics ~scratch ~probes ~radius t q)
-        qs
+(* The one pooled batch runner behind every layer's [search_batch]:
+   metrics resolved once and shared (their counters are atomic), the
+   trace dropped (traces are single-domain by design), a fresh budget
+   per query (each [query] call builds its own from [opts.budget]), and
+   the queries chunked by estimated cost across [opts.pool]. *)
+let run_batch ~space query (opts : Query_opts.t) qs =
+  let opts = { opts with metrics = Dbh_obs.Metrics.resolve opts.metrics; trace = None } in
+  match opts.pool with
+  | None -> Array.map (query opts) qs
   | Some pool ->
-      Dbh_util.Pool.parallel_map_array
-        ?cost:(Space.cost_estimator (Hash_family.space t.family) qs)
-        pool
-        (fun q ->
-          let budget = Option.map Budget.create opts.Query_opts.budget in
-          query_probed ?budget ?metrics ~probes ~radius t q)
-        qs
+      Dbh_util.Pool.parallel_map_array ?cost:(Space.cost_estimator space qs) pool (query opts) qs
 
-(* Candidate consumers iterate the scratch newest-mark-first: that is the
-   order the old code visited its consed candidate lists in, and
-   tie-breaking (equal distances) depends on it. *)
+(* The single-level walk: buckets are probed row by row and candidates
+   refined as they are marked (equivalent to collecting the union first:
+   the candidate set, lookup cost and best answer are identical), so
+   that when a budget runs out mid-query the best-so-far over everything
+   already paid for is returned, with only the rows reached counted as
+   probed. *)
+let nearest (opts : Query_opts.t) t q =
+  let probes = opts.probes_per_table and radius = opts.hamming_radius in
+  check_probe_knobs ~probes ~radius;
+  run opts ~family:t.family ~store:t.store ~limit:max_int ~acc:Nearest q
+    ~kind:(fun () -> Printf.sprintf "index(k=%d,l=%d)" t.k t.l)
+    (fun scratch cache ~limit r ->
+      r.levels <- 1;
+      let bits = Scratch.bit_row scratch (Array.length t.distinct_fns) in
+      eval_bits t.family t.distinct_fns cache bits;
+      (* One visitor closure for the whole query: allocating it inside
+         the row loop would cost a closure per probe. *)
+      let visit id =
+        if id < limit && Store.is_alive t.store id && Scratch.mark scratch id then refine r id
+      in
+      for row = 0 to t.l - 1 do
+        incr r.probed;
+        let key = (key_of_slots t.fn_slots.(row) bits :> int) in
+        record_probe r.trace ~level:0 ~row t.tables.(row) key;
+        Csr.iter_bucket t.tables.(row) key visit
+      done;
+      if probes > 1 && radius > 0 then
+        probe_extras ~trace:r.trace ~level:0 t cache scratch bits ~probes ~radius
+          ~counter:r.probed visit)
+
+let search ?(opts = Query_opts.default) t q = nearest opts t q
+
+let search_batch ?(opts = Query_opts.default) t qs =
+  run_batch ~space:(Hash_family.space t.family) (fun opts q -> nearest opts t q) opts qs
+
+(* Top-k and range refine the whole candidate set newest mark first,
+   with no budget (their results carry no truncation flag). *)
+let refine_all ~acc (opts : Query_opts.t) t q =
+  let probes = opts.probes_per_table and radius = opts.hamming_radius in
+  check_probe_knobs ~probes ~radius;
+  run { opts with budget = None } ~family:t.family ~store:t.store ~limit:max_int ~acc q
+    ~kind:(fun () -> Printf.sprintf "index(k=%d,l=%d)" t.k t.l)
+    (fun scratch cache ~limit r ->
+      r.levels <- 1;
+      refine_fresh ~level:0 ~limit ~probes ~radius t cache scratch r)
+
 let query_knn ?(opts = Query_opts.default) t m q =
   if m < 1 then invalid_arg "Index.query_knn: m must be >= 1";
-  let space = Hash_family.space t.family in
-  with_candidates ?metrics:opts.Query_opts.metrics ?trace:opts.Query_opts.trace
-    ?scratch:opts.Query_opts.scratch ~probes:opts.Query_opts.probes_per_table
-    ~radius:opts.Query_opts.hamming_radius t q (fun scratch ->
-      let heap = Dbh_util.Bounded_heap.create m in
-      let count = ref 0 in
-      for i = Scratch.count scratch - 1 downto 0 do
-        let id = Scratch.get scratch i in
-        incr count;
-        let d = space.Space.distance q (Store.get t.store id) in
-        ignore (Dbh_util.Bounded_heap.push heap d id)
-      done;
-      let sorted =
-        Dbh_util.Bounded_heap.to_sorted_list heap |> List.map (fun (d, i) -> (i, d))
-      in
-      (Array.of_list sorted, !count))
+  let heap = Dbh_util.Bounded_heap.create m in
+  let r = refine_all ~acc:(Top_k heap) opts t q in
+  let sorted = Dbh_util.Bounded_heap.to_sorted_list heap |> List.map (fun (d, i) -> (i, d)) in
+  (Array.of_list sorted, r.stats)
 
 let query_range ?(opts = Query_opts.default) t radius q =
   if radius < 0. then invalid_arg "Index.query_range: negative radius";
-  let space = Hash_family.space t.family in
-  with_candidates ?metrics:opts.Query_opts.metrics ?trace:opts.Query_opts.trace
-    ?scratch:opts.Query_opts.scratch ~probes:opts.Query_opts.probes_per_table
-    ~radius:opts.Query_opts.hamming_radius t q (fun scratch ->
-      let hits = ref [] in
-      let count = ref 0 in
-      for i = Scratch.count scratch - 1 downto 0 do
-        let id = Scratch.get scratch i in
-        incr count;
-        let d = space.Space.distance q (Store.get t.store id) in
-        if d <= radius then hits := (id, d) :: !hits
-      done;
-      (List.sort (fun (_, a) (_, b) -> compare a b) !hits, !count))
-
-(* Multi-probe: per table, after the base bucket, probe the buckets whose
-   keys flip the bit subsets with the smallest total margin — the bits
-   whose projection values sit closest to a threshold.  Subsets of size 1
-   and 2 suffice for practical probe counts. *)
-let probe_masks t cache row probes =
-  let fns = t.fn_ids.(row) in
-  let k = Array.length fns in
-  let margins = Array.map (fun fn_id -> Hash_family.margin t.family cache fn_id) fns in
-  let flips = ref [] in
-  for j = 0 to k - 1 do
-    (* Bit j of the key corresponds to fns.(j); keys pack bit 0 first at
-       the high end, so position j maps to mask bit (k-1-j). *)
-    let mask = 1 lsl (k - 1 - j) in
-    flips := (margins.(j), mask) :: !flips;
-    for j2 = j + 1 to k - 1 do
-      let mask2 = mask lor (1 lsl (k - 1 - j2)) in
-      flips := (margins.(j) +. margins.(j2), mask2) :: !flips
-    done
-  done;
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) !flips in
-  List.filteri (fun i _ -> i < probes) sorted |> List.map snd
-
-let query_multiprobe ?(opts = Query_opts.default) t ~probes q =
-  if probes < 0 then invalid_arg "Index.query_multiprobe: negative probes";
-  let metrics = Dbh_obs.Metrics.resolve opts.Query_opts.metrics in
-  let t0 = match metrics with Some _ -> Dbh_obs.Metrics.now () | None -> 0. in
-  let scratch = scratch_of opts.Query_opts.scratch in
-  Scratch.ensure scratch (Store.length t.store);
-  let cache = cache_for ?trace:opts.Query_opts.trace t scratch q in
-  let probe_count = ref 0 in
-  let nn, lookup =
-    Fun.protect
-      ~finally:(fun () -> Scratch.reset scratch)
-      (fun () ->
-        let bit_of = bits_of_cache t cache in
-        for row = 0 to t.l - 1 do
-          let base_key = key_of_row t.fn_ids bit_of row in
-          let keys =
-            (base_key :> int)
-            :: List.map
-                 (fun mask -> (base_key :> int) lxor mask)
-                 (probe_masks t cache row probes)
-          in
-          List.iter
-            (fun key ->
-              incr probe_count;
-              Csr.iter_bucket t.tables.(row) key (fun id ->
-                  if id < Scratch.capacity scratch && Store.is_alive t.store id then
-                    ignore (Scratch.mark scratch id)))
-            keys
-        done;
-        let space = Hash_family.space t.family in
-        let best = ref None in
-        let count = ref 0 in
-        for i = Scratch.count scratch - 1 downto 0 do
-          let id = Scratch.get scratch i in
-          incr count;
-          let d = space.Space.distance q (Store.get t.store id) in
-          match !best with
-          | Some (_, bd) when bd <= d -> ()
-          | _ -> best := Some (id, d)
-        done;
-        (!best, !count))
-  in
-  let stats =
-    { hash_cost = Hash_family.cache_cost cache; lookup_cost = lookup; probes = !probe_count }
-  in
-  let seconds =
-    match metrics with Some _ -> Some (Dbh_obs.Metrics.now () -. t0) | None -> None
-  in
-  observe_query ?metrics ?seconds ~cache_hits:(Hash_family.cache_hits cache)
-    ?nn_distance:(Option.map snd nn) ~stats ~truncated:false ~levels_probed:1 ();
-  { nn; stats; truncated = false; levels_probed = 1 }
-
-let query_budgeted ?(opts = Query_opts.default) t ~max_candidates q =
-  if max_candidates < 1 then invalid_arg "Index.query_budgeted: budget must be >= 1";
-  let metrics = Dbh_obs.Metrics.resolve opts.Query_opts.metrics in
-  let t0 = match metrics with Some _ -> Dbh_obs.Metrics.now () | None -> 0. in
-  let scratch = scratch_of opts.Query_opts.scratch in
-  Scratch.ensure scratch (Store.length t.store);
-  let cache = cache_for ?trace:opts.Query_opts.trace t scratch q in
-  let chosen =
-    Fun.protect
-      ~finally:(fun () -> Scratch.reset scratch)
-      (fun () ->
-        let bit_of = bits_of_cache t cache in
-        (* Count, per candidate, the number of tables it collides in. *)
-        let counts = Hashtbl.create 64 in
-        for row = 0 to t.l - 1 do
-          let key = key_of_row t.fn_ids bit_of row in
-          Csr.iter_bucket t.tables.(row) (key :> int) (fun id ->
-              if Store.is_alive t.store id then
-                Hashtbl.replace counts id
-                  (1 + Option.value ~default:0 (Hashtbl.find_opt counts id)))
-        done;
-        let ranked =
-          Hashtbl.fold (fun id c acc -> (c, id) :: acc) counts []
-          |> List.sort (fun (c1, id1) (c2, id2) ->
-                 if c1 <> c2 then compare c2 c1 else compare id1 id2)
-        in
-        List.filteri (fun i _ -> i < max_candidates) ranked |> List.map snd)
-  in
-  let nn, lookup = best_of_candidates t q chosen in
-  let stats =
-    { hash_cost = Hash_family.cache_cost cache; lookup_cost = lookup; probes = t.l }
-  in
-  let seconds =
-    match metrics with Some _ -> Some (Dbh_obs.Metrics.now () -. t0) | None -> None
-  in
-  observe_query ?metrics ?seconds ~cache_hits:(Hash_family.cache_hits cache)
-    ?nn_distance:(Option.map snd nn) ~stats ~truncated:false ~levels_probed:1 ();
-  { nn; stats; truncated = false; levels_probed = 1 }
+  let hits = ref [] in
+  let r = refine_all ~acc:(Within (radius, hits)) opts t q in
+  (List.sort (fun (_, a) (_, b) -> compare a b) !hits, r.stats)
 
 (* -------------------------------------------------------------- updates *)
 

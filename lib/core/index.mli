@@ -160,29 +160,14 @@ val search_batch : ?opts:Query_opts.t -> 'a t -> 'a array -> 'a result array
 val query_knn : ?opts:Query_opts.t -> 'a t -> int -> 'a -> (int * float) array * stats
 (** [query_knn t m q]: the [m] best candidates (sorted by distance) from
     the colliding buckets; may return fewer when buckets are sparse.
-    Only [opts.metrics]/[opts.trace] apply (this path has no budget or
-    batch machinery). *)
+    Runs the same pipeline as {!search}: [opts.metrics], [opts.trace]
+    and the multi-probe knobs apply; [opts.budget] and [opts.pool] are
+    ignored (the result has no truncation flag). *)
 
 val query_range : ?opts:Query_opts.t -> 'a t -> float -> 'a -> (int * float) list * stats
 (** Candidates within the given distance of the query (the near-neighbor
     flavour of Section III), sorted by distance.  Options as in
     {!query_knn}. *)
-
-val query_multiprobe : ?opts:Query_opts.t -> 'a t -> probes:int -> 'a -> 'a result
-(** Multi-probe retrieval (in the spirit of Lv et al., cited as [11] in
-    the paper): besides the query's own bucket, each table also probes
-    the [probes] buckets obtained by flipping the lowest-margin bits —
-    the binary functions whose projection value falls closest to a
-    threshold.  Recovers recall comparable to a larger [l] without
-    building more tables; hashing cost is unchanged.  Options as in
-    {!query_knn}. *)
-
-val query_budgeted : ?opts:Query_opts.t -> 'a t -> max_candidates:int -> 'a -> 'a result
-(** Like {!search}, but evaluates exact distances for at most
-    [max_candidates] candidates, preferring those that collide in the
-    most tables (higher empirical collision rate ⇒ higher model
-    probability of being the nearest neighbor).  Caps the lookup cost at
-    a known constant per query.  Options as in {!query_knn}. *)
 
 (** {1 Dynamic updates} *)
 
@@ -267,20 +252,59 @@ val load : decode:(string -> 'a) -> space:'a Dbh_space.Space.t -> path:string ->
 
 (**/**)
 
-(* Query plumbing shared with Hierarchical, Online and the robust layer:
-   the core query taking a caller-managed Budget.t plus explicit
-   observability hooks (what the layered search functions are built
-   from), and the one-stop metrics recording for a completed query. *)
-val query_with :
-  ?budget:Budget.t ->
-  ?metrics:Dbh_obs.Metrics.t ->
-  ?trace:Dbh_obs.Trace.t ->
-  ?scratch:Scratch.t ->
-  ?probes:int ->
-  ?radius:int ->
-  'a t ->
+(* The query pipeline shared with Hierarchical and Online.  A walk
+   marks candidates into the domain's scratch and feeds each one through
+   [refine], the one candidate step (budget charge, lookup count, exact
+   distance, trace event, accumulator); [run] wraps a walk in the hash
+   cache, budget, trace and metrics of one query.  Admitted ids stay
+   below both [limit] and the store length when the query starts. *)
+type accumulator =
+  | Nearest
+  | Top_k of int Dbh_util.Bounded_heap.t
+  | Within of float * (int * float) list ref
+
+type 'a query = {
+  q : 'a;
+  db : 'a Store.t;
+  distance : 'a -> 'a -> float;
+  budget : Budget.t option;
+  trace : Dbh_obs.Trace.t option;
+  acc : accumulator;
+  probed : int ref;
+  mutable levels : int;
+  mutable lookup : int;
+  mutable best_id : int;
+  mutable best_d : float;
+}
+
+val check_probe_knobs : probes:int -> radius:int -> unit
+
+(* Mark [t]'s fresh candidates below [limit], then refine them newest
+   mark first. *)
+val refine_fresh :
+  level:int -> limit:int -> probes:int -> radius:int ->
+  'a t -> 'a Hash_family.cache -> Scratch.t -> 'a query -> unit
+
+val run :
+  Query_opts.t ->
+  kind:(unit -> string) ->
+  family:'a Hash_family.t ->
+  store:'a Store.t ->
+  limit:int ->
+  acc:accumulator ->
   'a ->
+  (Scratch.t -> 'a Hash_family.cache -> limit:int -> 'a query -> unit) ->
   'a result
+
+(* The one pooled batch runner: [query] per element under [opts] with
+   metrics resolved once, the trace dropped, a fresh budget per query
+   and cost-aware chunking over [opts.pool]. *)
+val run_batch :
+  space:'a Dbh_space.Space.t ->
+  (Query_opts.t -> 'a -> 'b) ->
+  Query_opts.t ->
+  'a array ->
+  'b array
 
 val observe_query :
   ?metrics:Dbh_obs.Metrics.t ->

@@ -308,32 +308,3 @@ module Durable : sig
   (**/**)
 end
 
-(**/**)
-
-(* Query core taking a caller-managed Budget.t plus explicit
-   observability hooks — what the robust layer (circuit breaker) builds
-   on without paying Query_opts construction per query. *)
-val query_with :
-  ?budget:Budget.t ->
-  ?metrics:Dbh_obs.Metrics.t ->
-  ?trace:Dbh_obs.Trace.t ->
-  ?scratch:Scratch.t ->
-  ?probes:int ->
-  ?radius:int ->
-  'a t ->
-  'a ->
-  'a result
-
-(* Same core with the probe knobs as required labels — hot callers
-   holding plain ints (the robust layer's breaker) avoid boxing a
-   [Some] per knob per query. *)
-val query_probed :
-  ?budget:Budget.t ->
-  ?metrics:Dbh_obs.Metrics.t ->
-  ?trace:Dbh_obs.Trace.t ->
-  ?scratch:Scratch.t ->
-  probes:int ->
-  radius:int ->
-  'a t ->
-  'a ->
-  'a result

@@ -2,7 +2,7 @@
 
     One record carries everything a query may be threaded with — a
     per-query distance budget, a domain pool for batches, the
-    observability hooks and a reusable scratch — instead of each entry
+    observability hooks and the multi-probe knobs — instead of each entry
     point growing its own spelling of the same optional arguments.
     [Index.search], [Hierarchical.search], [Online.search] (and their
     [_batch] variants, plus [Dbh_robust.Breaker.search]) all take
@@ -26,13 +26,6 @@ type t = {
   trace : Dbh_obs.Trace.t option;
       (** Record this query's event timeline.  Single-query entry points
           only. *)
-  scratch : Scratch.t option;
-      (** Reuse this workspace (seen mask, candidate buffer, pivot row)
-          across queries instead of allocating per query.  Purely an
-          allocation optimisation — answers and stats are identical.
-          Single-domain: sequential entry points and sequential batches
-          use it; pooled batches ignore it (each query allocates its
-          own). *)
   probes_per_table : int;
       (** Buckets probed per table, base bucket included (default [1]).
           Values above 1 enable the multi-probe path: after each table's
@@ -57,7 +50,6 @@ val make :
   ?pool:Dbh_util.Pool.t ->
   ?metrics:Dbh_obs.Metrics.t ->
   ?trace:Dbh_obs.Trace.t ->
-  ?scratch:Scratch.t ->
   ?probes_per_table:int ->
   ?hamming_radius:int ->
   unit ->

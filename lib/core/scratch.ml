@@ -3,7 +3,7 @@
    accumulator and the pivot-distance cache array — live here and are
    recycled: [reset] clears only the bytes actually touched, so a query
    over a million-object store that saw forty candidates pays for forty,
-   not a million. *)
+   not a million.  Queries take their domain's scratch ([with_local]). *)
 
 type t = {
   mutable seen : Bytes.t;  (* one byte per store id; '\000' = unseen *)
@@ -80,3 +80,21 @@ let margin_row t m =
   t.margins
 
 let probe_seq t = t.probe
+
+(* One scratch per domain, lent to one query at a time.  The busy flag
+   is atomic because systhreads share their domain's DLS: a second
+   thread (or a re-entrant query from inside a distance) finds it taken
+   and works on a fresh scratch instead of corrupting the first. *)
+type slot = { owned : t; busy : bool Atomic.t }
+
+let slot = Domain.DLS.new_key (fun () -> { owned = create (); busy = Atomic.make false })
+
+let with_local f =
+  let s = Domain.DLS.get slot in
+  if Atomic.compare_and_set s.busy false true then
+    Fun.protect
+      ~finally:(fun () ->
+        reset s.owned;
+        Atomic.set s.busy false)
+      (fun () -> f s.owned)
+  else f (create ())

@@ -4,14 +4,12 @@
     A query marks every candidate it dedupes into the scratch; [reset]
     clears only the marked bytes (O(candidates), not O(store)), so one
     scratch amortises the hot path's allocations to zero across queries.
-    Thread one through [Query_opts.make ~scratch] — entry points without
-    one allocate a private scratch per query, which is correct but costs
-    the old per-query allocations.
+    Every query entry point borrows its domain's scratch through
+    {!with_local}, so steady-state queries allocate no seen mask, in
+    batches and pooled batches alike.
 
     A scratch is single-domain state: share it across {e sequential}
-    queries only.  Batch entry points reuse the caller's scratch when
-    running sequentially and ignore it under a pool (each domain
-    allocates its own). *)
+    queries only. *)
 
 type t
 
@@ -64,3 +62,11 @@ val probe_seq : t -> Probe_seq.t
 (** The scratch's reusable multi-probe workspace (penalty-sorted bits +
     probe heap) — like the other rows, single-domain and reused across
     sequential queries. *)
+
+val with_local : (t -> 'a) -> 'a
+(** [with_local f] runs [f] on the calling domain's scratch and resets
+    it afterwards, on normal and exceptional exit alike.  When that
+    scratch is already lent out — to another systhread of the same
+    domain, or to an enclosing query on the same stack — [f] gets a
+    fresh private scratch instead, so concurrent users never share
+    one. *)

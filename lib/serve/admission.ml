@@ -35,6 +35,7 @@ type item = {
   deadline : float;
   budget : int;
   enqueued_at : float;
+  conn : int;
   reply : Protocol.response -> unit;
 }
 
@@ -45,6 +46,7 @@ type t = {
   mutex : Mutex.t;
   not_empty : Condition.t;
   queue : item Queue.t;
+  held : (int, int) Hashtbl.t;  (* connection -> items it has queued *)
   buckets : (string * tenant_class * Bucket.t) list;  (* configured tenants *)
   default_bucket : Bucket.t;
   mutable draining : bool;
@@ -74,6 +76,7 @@ let create ?(now = Unix.gettimeofday ()) config =
     mutex = Mutex.create ();
     not_empty = Condition.create ();
     queue = Queue.create ();
+    held = Hashtbl.create 16;
     buckets =
       List.map
         (fun (n, c) -> (n, c, Bucket.create ~rate:c.rate ~burst:c.burst ~now))
@@ -119,10 +122,20 @@ let budget_for t ~tenant ~remaining ~requested =
   in
   max 1 (min derived cls.max_budget)
 
+let held t conn = Option.value ~default:0 (Hashtbl.find_opt t.held conn)
+
+(* Every dequeue goes through here, so [held] tracks the queue. *)
+let pop t =
+  let item = Queue.pop t.queue in
+  let n = held t item.conn - 1 in
+  if n = 0 then Hashtbl.remove t.held item.conn else Hashtbl.replace t.held item.conn n;
+  item
+
 let admit t ~now item =
   locked t (fun () ->
+      let cap = t.config.queue_capacity in
       if t.draining || t.closed then Shed_draining
-      else if Queue.length t.queue >= t.config.queue_capacity then
+      else if Queue.length t.queue >= cap || held t item.conn >= cap - (cap / 8) then
         (* Capacity before the bucket: a queue shed must not burn the
            tenant's token, or sustained queue-full overload would
            double-penalize tenants whose work was never executed. *)
@@ -133,6 +146,7 @@ let admit t ~now item =
           Shed_rate (Bucket.seconds_until bucket ~now)
         else begin
           Queue.push item t.queue;
+          Hashtbl.replace t.held item.conn (held t item.conn + 1);
           Condition.signal t.not_empty;
           Admitted
         end
@@ -147,7 +161,7 @@ let pop_batch t ~max =
       done;
       let rec take acc n =
         if n = 0 || Queue.is_empty t.queue then List.rev acc
-        else take (Queue.pop t.queue :: acc) (n - 1)
+        else take (pop t :: acc) (n - 1)
       in
       take [] (max : int))
 
@@ -159,7 +173,7 @@ let close t =
 let drain_remaining t =
   locked t (fun () ->
       let rec take acc =
-        if Queue.is_empty t.queue then List.rev acc else take (Queue.pop t.queue :: acc)
+        if Queue.is_empty t.queue then List.rev acc else take (pop t :: acc)
       in
       take [])
 

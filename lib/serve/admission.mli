@@ -43,13 +43,16 @@ type item = {
   deadline : float;  (** absolute, same clock as [now] arguments *)
   budget : int;  (** distance budget derived at admission *)
   enqueued_at : float;
+  conn : int;  (** the connection the request arrived on *)
   reply : Protocol.response -> unit;
 }
 
 type verdict =
   | Admitted
   | Shed_rate of float  (** seconds until the tenant's bucket allows one *)
-  | Shed_queue  (** queue at capacity *)
+  | Shed_queue
+      (** queue at capacity, or the item's connection already holds all
+          but the eighth of the queue kept for other connections *)
   | Shed_draining
 
 type t
@@ -75,7 +78,10 @@ val set_distances_per_second : t -> float -> unit
 val distances_per_second : t -> float
 
 val admit : t -> now:float -> item -> verdict
-(** Queue capacity, then token bucket, under one lock — a [Shed_queue]
+(** Queue capacity, then token bucket, under one lock.  One connection
+    may fill at most [queue_capacity - queue_capacity / 8] slots: a
+    pipelining client whose replies jam (a slow reader) cannot take the
+    whole queue and starve every other connection.  A [Shed_queue]
     consumes no token, so queue-full overload cannot also drain the
     tenant's rate allowance.  On [Admitted] the item is queued and a
     waiting worker is woken; on any shed verdict the item is {e not}

@@ -195,6 +195,7 @@ let handle_frame srv c (frame : Protocol.frame) =
               deadline;
               budget;
               enqueued_at = now;
+              conn = c.cid;
               reply;
             }
           in

@@ -7,6 +7,7 @@ module Minkowski = Dbh_metrics.Minkowski
 module Hash_family = Dbh.Hash_family
 module Store = Dbh.Store
 module Index = Dbh.Index
+module Query_opts = Dbh.Query_opts
 module Hierarchical = Dbh.Hierarchical
 module Builder = Dbh.Builder
 
@@ -211,7 +212,7 @@ let test_multiprobe_zero_equals_query () =
   for _ = 1 to 20 do
     let q = Dbh_datasets.Vectors.perturb ~rng ~sigma:0.1 db.(Rng.int rng 300) in
     let base = Index.search index q in
-    let mp = Index.query_multiprobe index ~probes:0 q in
+    let mp = Index.search ~opts:(Query_opts.multiprobe 1) index q in
     Alcotest.(check bool) "same answer" true (base.Index.nn = mp.Index.nn);
     Alcotest.(check int) "same lookup" base.Index.stats.Index.lookup_cost
       mp.Index.stats.Index.lookup_cost
@@ -222,7 +223,7 @@ let test_multiprobe_superset_candidates () =
   for _ = 1 to 20 do
     let q = Dbh_datasets.Vectors.perturb ~rng ~sigma:0.15 db.(Rng.int rng 300) in
     let base = Index.search index q in
-    let mp = Index.query_multiprobe index ~probes:4 q in
+    let mp = Index.search ~opts:(Query_opts.multiprobe 4) index q in
     (* More probes can only add candidates, so the answer can't worsen. *)
     Alcotest.(check bool) "lookup grows" true
       (mp.Index.stats.Index.lookup_cost >= base.Index.stats.Index.lookup_cost);
@@ -245,7 +246,7 @@ let test_multiprobe_improves_recall_vs_small_l () =
     Dbh_eval.Ground_truth.accuracy truth (Array.map (fun q -> (f q).Index.nn) queries)
   in
   let base = accuracy (fun q -> Index.search index q) in
-  let probed = accuracy (fun q -> Index.query_multiprobe index ~probes:8 q) in
+  let probed = accuracy (fun q -> Index.search ~opts:(Query_opts.multiprobe 8) index q) in
   Alcotest.(check bool)
     (Printf.sprintf "probed %.3f > base %.3f" probed base)
     true
@@ -253,8 +254,10 @@ let test_multiprobe_improves_recall_vs_small_l () =
 
 let test_multiprobe_probe_count () =
   let index, db, _ = make_index ~l:5 () in
-  let r = Index.query_multiprobe index ~probes:3 db.(0) in
-  Alcotest.(check int) "l*(1+probes) buckets" (5 * 4) r.Index.stats.Index.probes
+  (* Radius 1 over k = 4 bits offers 4 flips per table, more than the 2
+     extra probes asked for, so every table probes exactly 3 buckets. *)
+  let r = Index.search ~opts:(Query_opts.multiprobe ~hamming_radius:1 3) index db.(0) in
+  Alcotest.(check int) "l*probes_per_table buckets" (5 * 3) r.Index.stats.Index.probes
 
 (* ---------------------------------------------------------------- budgeted *)
 
@@ -262,34 +265,20 @@ let test_budgeted_respects_budget () =
   let index, db, rng = make_index ~l:12 () in
   for _ = 1 to 20 do
     let q = Dbh_datasets.Vectors.perturb ~rng ~sigma:0.1 db.(Rng.int rng 300) in
-    let r = Index.query_budgeted index ~max_candidates:5 q in
-    Alcotest.(check bool) "within budget" true (r.Index.stats.Index.lookup_cost <= 5)
+    let r = Index.search ~opts:(Query_opts.budgeted 25) index q in
+    Alcotest.(check bool) "within budget" true (Index.total_cost r.Index.stats <= 25)
   done
 
-let test_budgeted_equals_query_with_big_budget () =
+let test_budgeted_equals_unbudgeted_with_big_budget () =
   let index, db, rng = make_index ~l:6 () in
   for _ = 1 to 20 do
     let q = Dbh_datasets.Vectors.perturb ~rng ~sigma:0.1 db.(Rng.int rng 300) in
     let base = Index.search index q in
-    let b = Index.query_budgeted index ~max_candidates:10_000 q in
-    match (base.Index.nn, b.Index.nn) with
-    | Some (_, d0), Some (_, d1) -> check_loose 1e-12 "same distance" d0 d1
-    | None, None -> ()
-    | _ -> Alcotest.fail "budget covers everything, answers must agree"
+    let b = Index.search ~opts:(Query_opts.budgeted 10_000) index q in
+    Alcotest.(check bool) "never truncated" false b.Index.truncated;
+    Alcotest.(check bool) "same answer and stats" true
+      (base.Index.nn = b.Index.nn && base.Index.stats = b.Index.stats)
   done
-
-let test_budgeted_collision_ranking_beats_random () =
-  (* With a tight budget, collision-count ranking should usually still
-     find the true NN among the top candidates. *)
-  let db = test_db 31 600 in
-  let rng = Rng.create 32 in
-  let family = Hash_family.make ~rng ~space:l2 ~num_pivots:25 ~threshold_sample:200 db in
-  let index = Index.build ~rng ~family ~db ~k:6 ~l:20 () in
-  let queries = Array.init 80 (fun i -> Dbh_datasets.Vectors.perturb ~rng ~sigma:0.03 db.(i * 7)) in
-  let truth = Dbh_eval.Ground_truth.compute ~space:l2 ~db ~queries () in
-  let answers = Array.map (fun q -> (Index.query_budgeted index ~max_candidates:8 q).Index.nn) queries in
-  let acc = Dbh_eval.Ground_truth.accuracy truth answers in
-  Alcotest.(check bool) (Printf.sprintf "accuracy %.3f with 8 candidates" acc) true (acc > 0.8)
 
 (* -------------------------------------------------------------- persistence *)
 
@@ -447,9 +436,7 @@ let () =
       ( "budgeted",
         [
           Alcotest.test_case "respects budget" `Quick test_budgeted_respects_budget;
-          Alcotest.test_case "big budget = query" `Quick test_budgeted_equals_query_with_big_budget;
-          Alcotest.test_case "collision ranking effective" `Quick
-            test_budgeted_collision_ranking_beats_random;
+          Alcotest.test_case "big budget = query" `Quick test_budgeted_equals_unbudgeted_with_big_budget;
         ] );
       ( "persistence",
         [

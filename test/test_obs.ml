@@ -199,8 +199,8 @@ let test_budget_via_opts () =
   Alcotest.(check bool) "tight budget truncates" true tight.Index.truncated;
   Alcotest.(check int) "truncation counted" 1
     (Registry.counter_value m.Metrics.queries_truncated_total);
-  (* Query_opts.budgeted behaves exactly like the low-level budget. *)
-  let direct = Index.query_with ~budget:(Dbh.Budget.create 5) index q in
+  (* Query_opts.budgeted is the same budget as the explicit record. *)
+  let direct = Index.search ~opts:(Query_opts.budgeted 5) index q in
   Alcotest.(check bool) "same nn" true (tight.Index.nn = direct.Index.nn);
   Alcotest.(check bool) "same stats" true (tight.Index.stats = direct.Index.stats);
   let loose = Index.search ~opts:(Query_opts.budgeted 100_000) index q in
@@ -334,12 +334,12 @@ let test_parallel_logical_counters_identical () =
 
 (* ------------------------------------------------ Query_opts equivalences *)
 
-(* The Query_opts spellings that replaced the old wrapper surface must
-   agree with the explicit query_with plumbing they are built from. *)
+(* The Query_opts shorthands, batch entry points and layered searches
+   must agree with the spelled-out records and per-query calls. *)
 let test_query_opts_equivalences () =
   let index, db, _ = make_index ~seed:75 () in
   let q = db.(42) in
-  let old_b = Index.query_with ~budget:(Dbh.Budget.create 9) index q in
+  let old_b = Index.search ~opts:(Query_opts.make ~budget:9 ()) index q in
   let new_b = Index.search ~opts:(Query_opts.budgeted 9) index q in
   Alcotest.(check bool) "budgeted agree" true (old_b = new_b);
   let qs = Array.sub db 0 10 in
@@ -347,9 +347,9 @@ let test_query_opts_equivalences () =
     (Index.search_batch index qs = Array.map (Index.search index) qs);
   let h, hdb, _ = make_hier ~seed:82 () in
   let hq = hdb.(3) in
-  let r = Hierarchical.query_with h hq in
-  let s = Hierarchical.search h hq in
-  Alcotest.(check bool) "query_with = search" true (r = s)
+  let r = Hierarchical.search_batch ~opts:(Query_opts.budgeted 30) h [| hq |] in
+  let s = Hierarchical.search ~opts:(Query_opts.budgeted 30) h hq in
+  Alcotest.(check bool) "batch of one = search" true (r = [| s |])
 
 let () =
   Alcotest.run "dbh_obs"

@@ -183,7 +183,9 @@ let test_query_batch_matches_per_query () =
       Alcotest.(check bool)
         "parallel batch equal" true
         (Index.search_batch ~opts:(Dbh.Query_opts.make ~pool ()) index queries = per_query);
-      let budgeted = Array.map (fun q -> Index.query_with ~budget:(Dbh.Budget.create 60) index q) queries in
+      let budgeted =
+        Array.map (fun q -> Index.search ~opts:(Dbh.Query_opts.budgeted 60) index q) queries
+      in
       Alcotest.(check bool)
         "parallel budgeted batch equal" true
         (Index.search_batch ~opts:(Dbh.Query_opts.make ~pool ~budget:60 ()) index queries = budgeted))

@@ -369,7 +369,7 @@ let test_bucket_arithmetic () =
 
 (* ---------------------------------------------------------- admission *)
 
-let dummy_item ?(tenant = "") ?(deadline = 1e9) t ~now =
+let dummy_item ?(tenant = "") ?(deadline = 1e9) ?(conn = 0) t ~now =
   {
     Admission.request = Protocol.Ping;
     id = 1L;
@@ -377,8 +377,31 @@ let dummy_item ?(tenant = "") ?(deadline = 1e9) t ~now =
     deadline;
     budget = Admission.budget_for t ~tenant ~remaining:(deadline -. now) ~requested:0;
     enqueued_at = now;
+    conn;
     reply = ignore;
   }
+
+let test_admission_connection_share () =
+  (* One connection may hold all but an eighth of the queue; the rest
+     stays open to other connections, and popping frees the share. *)
+  let cfg = { Admission.default_config with queue_capacity = 16 } in
+  let t = Admission.create ~now:0. cfg in
+  let admit conn = Admission.admit t ~now:0. (dummy_item ~conn t ~now:0.) in
+  for _ = 1 to 14 do
+    match admit 1 with
+    | Admission.Admitted -> ()
+    | _ -> Alcotest.fail "within the connection's share"
+  done;
+  (match admit 1 with
+  | Admission.Shed_queue -> ()
+  | _ -> Alcotest.fail "a 15th item from one connection must shed on queue");
+  (match admit 2 with
+  | Admission.Admitted -> ()
+  | _ -> Alcotest.fail "another connection must still be admitted");
+  ignore (Admission.pop_batch t ~max:1);
+  match admit 1 with
+  | Admission.Admitted -> ()
+  | _ -> Alcotest.fail "a pop frees the connection's share"
 
 let test_admission_deadline_and_budget () =
   let cfg =
@@ -1427,6 +1450,8 @@ let () =
           Alcotest.test_case "sheds, never collapses" `Quick
             test_admission_sheds_dont_collapse;
           Alcotest.test_case "tenant token gauges" `Quick test_admission_tenant_tokens;
+          Alcotest.test_case "one connection cannot fill the queue" `Quick
+            test_admission_connection_share;
         ] );
       ( "server",
         [

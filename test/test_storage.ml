@@ -99,26 +99,20 @@ let golden_range_line qi (hits : (int * float) list) (stats : Index.stats) =
     (if hits = "" then "-" else hits)
     stats.Index.hash_cost stats.Index.lookup_cost stats.Index.probes
 
-let golden_lines ?opts () =
+let golden_lines () =
   let queries, index, hier = golden_workload () in
-  let budgeted =
-    match opts with
-    | None -> Query_opts.budgeted 40
-    | Some o -> { o with Query_opts.budget = Some 40 }
-  in
+  let budgeted = Query_opts.budgeted 40 in
   let lines = ref [] in
   let emit l = lines := l :: !lines in
   Array.iteri
     (fun qi q ->
-      emit (golden_result_line "single" qi (Index.search ?opts index q));
+      emit (golden_result_line "single" qi (Index.search index q));
       emit (golden_result_line "single-b40" qi (Index.search ~opts:budgeted index q));
-      emit (golden_result_line "multi2" qi (Index.query_multiprobe index ~probes:2 q));
-      emit (golden_result_line "budg10" qi (Index.query_budgeted index ~max_candidates:10 q));
       (let hits, stats = Index.query_knn index 5 q in
        emit (golden_knn_line qi hits stats));
       (let hits, stats = Index.query_range index 1.5 q in
        emit (golden_range_line qi hits stats));
-      emit (golden_result_line "hier" qi (Hierarchical.search ?opts hier q));
+      emit (golden_result_line "hier" qi (Hierarchical.search hier q));
       emit (golden_result_line "hier-b40" qi (Hierarchical.search ~opts:budgeted hier q)))
     queries;
   List.rev !lines
@@ -153,18 +147,26 @@ let check_against_golden label actual =
           label (i + 1) e a)
     (List.combine expected actual)
 
-let test_golden_bit_identity () = check_against_golden "fresh scratch" (golden_lines ())
+let test_golden_bit_identity () = check_against_golden "first run" (golden_lines ())
 
 let test_golden_with_shared_scratch () =
-  (* Same workload through one long-lived scratch: zero-alloc reuse must
-     not change a bit of any answer. *)
-  let scratch = Scratch.create () in
-  let opts = Query_opts.make ~scratch () in
-  check_against_golden "shared scratch" (golden_lines ~opts ())
+  (* Every query borrows its domain's scratch.  Grow that scratch past
+     the golden store first (a query over a larger index), then repeat
+     the workload twice: reuse must not change a bit of any answer. *)
+  let db = Array.init 5000 (fun i -> [| float_of_int i; 0. |]) in
+  let family =
+    Hash_family.make ~rng:(Rng.create 13) ~space:l2 ~num_pivots:8 ~threshold_sample:50 db
+  in
+  let big = Index.build ~rng:(Rng.create 14) ~family ~db ~k:2 ~l:2 () in
+  ignore (Index.search big [| 2500.; 0. |]);
+  Alcotest.(check bool) "domain scratch grown" true
+    (Scratch.with_local Scratch.capacity >= 5000);
+  check_against_golden "warm scratch" (golden_lines ());
+  check_against_golden "repeated" (golden_lines ())
 
 let test_golden_batches_match_pool () =
-  (* search_batch — sequential (shared scratch inside) and fanned over a
-     pool — must agree with the golden per-query "single"/"hier" lines. *)
+  (* search_batch — sequential and fanned over a pool, each domain on
+     its own scratch — must agree with the golden per-query "single"/"hier" lines. *)
   let queries, index, hier = golden_workload () in
   let golden = read_lines (fixture_path "golden_storage.txt") in
   let expect tag =
@@ -385,24 +387,126 @@ let test_scratch_reuse_is_clean () =
   Alcotest.(check bool) "pivot row big enough" true (Array.length row >= 32)
 
 let test_scratch_exception_safety () =
-  (* A budget blow-up mid-query must still leave a shared scratch clean
-     for the next query. *)
+  (* A budget blow-up mid-query, or a distance that raises, must still
+     leave the domain's scratch clean for the next query. *)
   let db = Pen.generate_set ~rng:(Rng.create 21) 120 in
   let family =
     Hash_family.make ~rng:(Rng.create 22) ~space:Pen.space ~num_pivots:15
       ~threshold_sample:80 db
   in
   let index = Index.build ~rng:(Rng.create 23) ~family ~db ~k:4 ~l:5 () in
-  let scratch = Scratch.create () in
   let q = Pen.generate_set ~rng:(Rng.create 24) 1 in
-  let tight = Query_opts.make ~budget:3 ~scratch () in
-  let r1 = Index.search ~opts:tight index q.(0) in
+  let clean label = Alcotest.(check int) label 0 (Scratch.with_local Scratch.count) in
+  let before = Index.search index q.(0) in
+  let r1 = Index.search ~opts:(Query_opts.budgeted 18) index q.(0) in
   Alcotest.(check bool) "budget truncated" true r1.Index.truncated;
-  Alcotest.(check int) "scratch clean after truncation" 0 (Scratch.count scratch);
-  let free = Query_opts.make ~scratch () in
-  let r2 = Index.search ~opts:free index q.(0) in
-  let r3 = Index.search index q.(0) in
-  if r2.Index.nn <> r3.Index.nn then Alcotest.fail "shared scratch changed the answer"
+  Alcotest.(check bool) "truncated after some candidates" true
+    (r1.Index.stats.Index.lookup_cost > 0);
+  clean "scratch clean after truncation";
+  let calls = ref min_int in
+  let failing =
+    Dbh_space.Space.make ~name:"fails" (fun a b ->
+        incr calls;
+        if !calls > 17 then failwith "distance service down";
+        Pen.space.Dbh_space.Space.distance a b)
+  in
+  let broken =
+    Index.build ~rng:(Rng.create 23)
+      ~family:(Hash_family.make ~rng:(Rng.create 22) ~space:failing ~num_pivots:15
+                 ~threshold_sample:80 db)
+      ~db ~k:4 ~l:5 ()
+  in
+  calls := 0;
+  (match Index.search broken q.(0) with
+  | _ -> Alcotest.fail "the failing distance was never reached"
+  | exception Failure _ -> ());
+  clean "scratch clean after a raising distance";
+  let after = Index.search index q.(0) in
+  Alcotest.(check bool) "answer unchanged" true (before = after)
+
+(* Steady-state allocation of one Online.search with default options
+   must not grow with the store.  A store-sized seen mask per query
+   grew it by a byte per stored object.  The store grows here by
+   30000 inserted-then-deleted objects: the index and its alive objects
+   stay the same, so every query does the same work at 2k and at 32k
+   stored ids. *)
+let test_search_alloc_independent_of_store () =
+  let rng = Rng.create 90 in
+  let db, _ = Dbh_datasets.Vectors.gaussian_mixture ~rng ~num_clusters:8 ~dim:8 2_000 in
+  let config =
+    {
+      Builder.default_config with
+      num_pivots = 20;
+      num_sample_queries = 60;
+      db_sample = 150;
+      l_max = 10;
+    }
+  in
+  let t = Online.create ~rng:(Rng.create 91) ~space:l2 ~config ~target_accuracy:0.9 db in
+  let queries = Array.init 50 (fun i -> Dbh_datasets.Vectors.perturb ~rng ~sigma:0.05 db.(i)) in
+  let sweep () = Array.map (fun q -> (Online.search t q).Online.stats) queries in
+  (* The least of three sweeps: a one-off (a lazily grown buffer, a GC
+     accounting step) must not pass for a per-query cost. *)
+  let words_per_search () =
+    ignore (sweep ());
+    let stats = ref [||] in
+    let words =
+      List.fold_left Float.min infinity
+        (List.init 3 (fun _ ->
+             let b0 = Gc.allocated_bytes () in
+             stats := sweep ();
+             Gc.allocated_bytes () -. b0))
+    in
+    (words /. float_of_int (Sys.word_size / 8 * Array.length queries), !stats)
+  in
+  let small, small_stats = words_per_search () in
+  for i = 1 to 30_000 do
+    let copy = Dbh_datasets.Vectors.perturb ~rng ~sigma:0.05 db.(i mod 2_000) in
+    Online.delete t (Online.insert t copy)
+  done;
+  Alcotest.(check int) "no rebuild" 0 (Online.rebuilds t);
+  let large, large_stats = words_per_search () in
+  Alcotest.(check bool) "same work per query" true (small_stats = large_stats);
+  if large -. small > 16. then
+    Alcotest.failf "words per search grew with the store: %.1f at 2k stored ids, %.1f at 32k"
+      small large
+
+(* Two systhreads on one domain (contending for its scratch) and a
+   pooled batch at the same time: every answer must be bit-identical to
+   the sequential one.  The distance yields, so the threads switch in
+   the middle of queries and find the domain's scratch lent out. *)
+let test_concurrent_queries_bit_identical () =
+  let rng = Rng.create 92 in
+  let db, _ = Dbh_datasets.Vectors.gaussian_mixture ~rng ~num_clusters:6 ~dim:4 600 in
+  let config =
+    { Builder.default_config with num_pivots = 20; num_sample_queries = 60; db_sample = 150 }
+  in
+  let yielding =
+    Dbh_space.Space.make ~name:"l2-yielding" (fun a b ->
+        Thread.yield ();
+        l2.Dbh_space.Space.distance a b)
+  in
+  let t =
+    Online.create ~rng:(Rng.create 93) ~space:yielding ~config ~target_accuracy:0.9 db
+  in
+  let queries = Array.init 80 (fun i -> Dbh_datasets.Vectors.perturb ~rng ~sigma:0.05 db.(i)) in
+  let expected = Array.map (Online.search t) queries in
+  let mismatches = Atomic.make 0 in
+  let worker () =
+    for _ = 1 to 5 do
+      Array.iteri
+        (fun i q -> if Online.search t q <> expected.(i) then Atomic.incr mismatches)
+        queries
+    done
+  in
+  Pool.with_pool ~domains (fun pool ->
+      let threads = [ Thread.create worker (); Thread.create worker () ] in
+      for _ = 1 to 5 do
+        let batch = Online.search_batch ~opts:(Query_opts.make ~pool ()) t queries in
+        if batch <> expected then Atomic.incr mismatches
+      done;
+      List.iter Thread.join threads);
+  Alcotest.(check int) "answers differing from the sequential run" 0 (Atomic.get mismatches)
 
 (* ------------------------------------------------- v1 -> v2 migration *)
 
@@ -543,6 +647,10 @@ let () =
         [
           Alcotest.test_case "reuse stays clean" `Quick test_scratch_reuse_is_clean;
           Alcotest.test_case "exception safety" `Quick test_scratch_exception_safety;
+          Alcotest.test_case "search allocation independent of store size" `Slow
+            test_search_alloc_independent_of_store;
+          Alcotest.test_case "systhreads + pooled batch bit-identical" `Quick
+            test_concurrent_queries_bit_identical;
         ] );
       ( "migration",
         [

@@ -1,11 +1,10 @@
-(* Tests for Dbh_util: Rng, Stats, Bounded_heap, Pqueue, Bitvec, Array_util. *)
+(* Tests for Dbh_util: Rng, Stats, Bounded_heap, Pqueue, Bitvec, Vec. *)
 
 module Rng = Dbh_util.Rng
 module Stats = Dbh_util.Stats
 module Bounded_heap = Dbh_util.Bounded_heap
 module Pqueue = Dbh_util.Pqueue
 module Bitvec = Dbh_util.Bitvec
-module Array_util = Dbh_util.Array_util
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_float_loose tol = Alcotest.(check (float tol))
@@ -393,38 +392,6 @@ let test_vec_of_array_copies () =
   Alcotest.(check int) "copied" 1 (Dbh_util.Vec.get v 0);
   Alcotest.(check (array int)) "to_array" [| 1; 2; 3 |] (Dbh_util.Vec.to_array v)
 
-(* ------------------------------------------------------------- Array_util *)
-
-let test_array_util_argmin_argmax () =
-  Alcotest.(check int) "argmin" 1 (Array_util.argmin [| 3.; 1.; 2.; 1. |]);
-  Alcotest.(check int) "argmax" 0 (Array_util.argmax [| 3.; 1.; 2.; 3. |])
-
-let test_array_util_min_by () =
-  let i, x, v =
-    Array_util.min_by (fun s -> float_of_int (String.length s)) [| "abc"; "a"; "ab" |]
-  in
-  Alcotest.(check int) "index" 1 i;
-  Alcotest.(check string) "element" "a" x;
-  check_float "value" 1. v
-
-let test_array_util_range_take_drop () =
-  Alcotest.(check (array int)) "range" [| 2; 3; 4 |] (Array_util.range 2 5);
-  Alcotest.(check (array int)) "empty range" [||] (Array_util.range 5 5);
-  Alcotest.(check (array int)) "take" [| 1; 2 |] (Array_util.take 2 [| 1; 2; 3 |]);
-  Alcotest.(check (array int)) "take too many" [| 1; 2 |] (Array_util.take 5 [| 1; 2 |]);
-  Alcotest.(check (array int)) "drop" [| 3 |] (Array_util.drop 2 [| 1; 2; 3 |]);
-  Alcotest.(check (array int)) "drop all" [||] (Array_util.drop 5 [| 1; 2 |])
-
-let test_array_util_misc () =
-  check_float "mean_by" 2. (Array_util.mean_by float_of_int [| 1; 2; 3 |]);
-  Alcotest.(check int) "count" 2 (Array_util.count (fun x -> x > 1) [| 1; 2; 3 |]);
-  Alcotest.(check int) "fold_lefti"
-    (0 * 1 + 1 * 2 + 2 * 3)
-    (Array_util.fold_lefti (fun acc i x -> acc + (i * x)) 0 [| 1; 2; 3 |]);
-  Alcotest.(check (array (float 0.)))
-    "mapi_float" [| 0.; 2.; 6. |]
-    (Array_util.mapi_float (fun i x -> float_of_int (i * x)) [| 7; 2; 3 |])
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -484,12 +451,5 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_vec_basics;
           Alcotest.test_case "of_array copies" `Quick test_vec_of_array_copies;
-        ] );
-      ( "array_util",
-        [
-          Alcotest.test_case "argmin/argmax" `Quick test_array_util_argmin_argmax;
-          Alcotest.test_case "min_by" `Quick test_array_util_min_by;
-          Alcotest.test_case "range/take/drop" `Quick test_array_util_range_take_drop;
-          Alcotest.test_case "misc" `Quick test_array_util_misc;
         ] );
     ]
